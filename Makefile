@@ -36,10 +36,10 @@ ingest-smoke:
 	REPRO_INGEST_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_ingest.py -q --benchmark-disable
 
-# Small-N run of the filter-probe bench: asserts the batched engine's
-# verdicts, extracted keys, and simulated time equal the scalar path's
-# (the bit-identity contract) without the full-size timing runs, and
-# without touching the committed results files.
+# Small-N run of the filter-probe bench: asserts every filter family's
+# batch verdicts equal its scalar probes without the full-size timing
+# runs, and without touching the committed results files.  (The LSM-level
+# bit-identity of the engine is pinned by tier-1 golden digests.)
 probe-smoke:
 	REPRO_PROBE_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_filter_probe.py -q --benchmark-disable
@@ -63,10 +63,11 @@ mvcc-smoke:
 	REPRO_MVCC_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_mixed_workload.py -q --benchmark-disable
 
-# Small-N run of the sorted-view range bench: asserts scan results,
-# extracted keys and simulated time are bit-identical with the view off
-# and on, with zero leaked pins — without the full-size timing runs, and
-# without touching the committed results files.
+# Small-N run of the sorted-view range bench: churns a store that keeps
+# its view maintained incrementally and asserts zero leaked pins, without
+# the full-size run and without touching the committed results files.
+# (The view's bit-identity with the classic merge is pinned by tier-1
+# golden digests.)
 range-smoke:
 	REPRO_RANGE_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_range_view.py -q --benchmark-disable

@@ -1,37 +1,31 @@
-"""Filter-probe engine bench: batched probe throughput + attack wall-clock.
+"""Filter-probe engine bench: batched vs scalar probe throughput.
 
 An engineering bench beyond the paper's tables: every stage of every
 attack — cutoff learning, FindFPK classification, prefix extension — is
 at bottom a stream of filter probes, so probe throughput gates attack
 wall-clock the way ``get`` latency did before the read-path overhaul and
-ingest did before the build engine.  The bench measures, in one run:
+ingest did before the build engine.  The bench measures per-filter probe
+throughput, scalar loop vs :meth:`Filter.probe_many` (the engine's pure
+batch entry point), over a probe mix that is half shared-prefix guesses
+and half uniform noise — the shape FindFPK actually issues — asserting
+the verdict vectors are identical.
 
-* per-filter probe throughput, scalar loop vs :meth:`Filter.probe_many`
-  (the engine's pure batch entry point), over a probe mix that is half
-  shared-prefix guesses and half uniform noise — the shape FindFPK
-  actually issues — asserting the verdict vectors are identical;
-* the full SuRF timing attack (LOUDS backend — the paper's succinct
-  encoding, where filter probes dominate the get path) twice over twin
-  environments, once with ``LSMOptions.probe_engine`` off (the
-  pre-engine scalar baseline) and once on, asserting the extracted keys
-  and the simulated clock are bit-identical while wall-clock drops.
+The LSM layer always runs the batched engine; its bit-identity with the
+scalar probes is pinned by the golden digests of
+``tests/integration/test_probe_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.bench.report import ExperimentReport
 from repro.common.rng import make_rng
-from repro.core import (AttackConfig, PrefixSiphoningAttack,
-                        SurfAttackStrategy, TimingOracle, learn_cutoff)
 from repro.filters.bloom import BloomFilterBuilder
 from repro.filters.prefix_bloom import PrefixBloomFilterBuilder
 from repro.filters.rosetta import RosettaFilterBuilder
-from repro.filters.surf import SuffixScheme, SurfVariant
 from repro.filters.surf.surf import SuRFBuilder
-from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
 
 WIDTH = 5
 
@@ -94,79 +88,21 @@ def _bench_probes(rows: List[Dict[str, object]], num_keys: int,
     return speedups
 
 
-def _run_attack(env, num_samples: int, num_candidates: int):
-    learning = learn_cutoff(env.service, ATTACKER_USER, WIDTH,
-                            num_samples=num_samples,
-                            background=env.background)
-    oracle = TimingOracle(env.service, ATTACKER_USER,
-                          cutoff_us=learning.cutoff_us, rounds=3,
-                          background=env.background, wait_us=100_000.0)
-    strategy = SurfAttackStrategy(
-        WIDTH, SuffixScheme(SurfVariant.REAL, 8), seed=101)
-    return PrefixSiphoningAttack(
-        oracle, strategy,
-        AttackConfig(key_width=WIDTH, num_candidates=num_candidates)).run()
-
-
-def _bench_attack(rows: List[Dict[str, object]], num_keys: int,
-                  num_samples: int, num_candidates: int,
-                  seed: int) -> Dict[str, object]:
-    results: Dict[bool, Tuple[float, object, float]] = {}
-    for engine_on in (False, True):
-        env = build_environment(DatasetConfig(
-            num_keys=num_keys, key_width=WIDTH, seed=seed,
-            filter_builder=SuRFBuilder(variant="real", suffix_bits=8,
-                                       backend="louds")))
-        env.db.options.probe_engine = engine_on
-        started = time.perf_counter()
-        result = _run_attack(env, num_samples, num_candidates)
-        elapsed = time.perf_counter() - started
-        results[engine_on] = (elapsed, result, env.clock.now_us)
-        rows.append({
-            "phase": "attack",
-            "probe_engine": engine_on,
-            "seconds": elapsed,
-            "extracted_keys": result.num_extracted,
-            "total_queries": result.total_queries,
-            "sim_duration_us": result.sim_duration_us,
-        })
-    off_s, off_result, off_clock = results[False]
-    on_s, on_result, on_clock = results[True]
-    return {
-        "attack_wall_off_s": off_s,
-        "attack_wall_on_s": on_s,
-        "attack_wall_speedup": off_s / on_s,
-        "attack_keys_identical":
-            [e.key for e in off_result.extracted]
-            == [e.key for e in on_result.extracted],
-        "attack_sim_identical":
-            off_result.sim_duration_us == on_result.sim_duration_us
-            and off_clock == on_clock,
-    }
-
-
-def run(num_keys: int = 20_000, num_probes: int = 40_000,
-        attack_keys: int = 6_000, attack_samples: int = 2_000,
-        attack_candidates: int = 20_000, seed: int = 13,
+def run(num_keys: int = 20_000, num_probes: int = 40_000, seed: int = 13,
         reps: int = 3) -> ExperimentReport:
-    """Probe-throughput sweep plus the engine-off/on attack pair."""
+    """Per-filter probe-throughput sweep, scalar vs batched."""
     rows: List[Dict[str, object]] = []
     speedups = _bench_probes(rows, num_keys, num_probes, seed, reps)
-    attack = _bench_attack(rows, attack_keys, attack_samples,
-                           attack_candidates, seed + 7)
     summary: Dict[str, object] = {
         f"probe_speedup_{name.replace('-', '_')}": value
         for name, value in speedups.items()
     }
-    summary.update(attack)
     return ExperimentReport(
         experiment="BENCH_filter_probe",
         title="Filter-probe engine: batched probes vs scalar loop",
         paper_claim=PAPER_CLAIM,
         scale_note=(f"{num_probes:,} probes against {num_keys:,}-key "
-                    f"filters (best of {reps}); SuRF timing attack on "
-                    f"{attack_keys:,} keys, {attack_candidates:,} "
-                    f"candidates, engine off vs on"),
+                    f"filters (best of {reps})"),
         rows=rows,
         summary=summary,
     )

@@ -105,7 +105,7 @@ class QueryOracle(abc.ABC):
             return self.prober()
         plan = probe_plan(list(keys))
         self.release_plan()
-        if plan is None:  # engine disabled, or nothing reaches a filter
+        if plan is None:  # nothing on the batch's paths has a filter
             return self.prober()
         self._active_plan = plan
         get_one = getter(self.attacker_user, plan)

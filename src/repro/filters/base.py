@@ -91,8 +91,8 @@ class Filter(abc.ABC):
 
         The LSM probe engine uses this for its prepass, then replays the
         scalar control flow and records stats only for the probes that
-        path actually consumes — so engine on/off leaves
-        :attr:`stats` bit-identical.
+        path actually consumes — so :attr:`stats` are bit-identical to
+        the scalar probes'.
         """
         return self._may_contain_many(list(keys))
 

@@ -50,6 +50,13 @@ class LSMOptions:
     (DESIGN.md section 2): small SSTables so a 50k-key dataset spreads over
     dozens of files, and a page cache far smaller than the on-device bytes
     so filter misses genuinely save I/O.
+
+    The read path has no options: every read runs the one read kernel
+    (:mod:`repro.lsm.read`) with batched filter probes and the per-version
+    sorted view.  Its two fallbacks follow the store's state, never a
+    setting: a batch with no filter to probe gets no probe plan, and a
+    version with no sorted view (empty, or a table that cannot be mapped)
+    is read through the classic k-way merge.
     """
 
     memtable_size_bytes: int = 256 * 1024
@@ -82,27 +89,6 @@ class LSMOptions:
     #: baseline).  Output bytes, file numbering and simulated costs are
     #: identical for every value >= 1 (see DESIGN.md section 9).
     build_threads: int = 1
-    #: Batched filter-probe engine for ``get_many``/``get_many_timed``/
-    #: ``filters_pass_many``: a pure prepass computes every candidate
-    #: table's filter verdict with the vectorized/shared-prefix batch
-    #: probes, then the scalar per-key control flow replays against the
-    #: memoized verdicts.  Simulated time, filter verdicts and stats are
-    #: bit-identical on and off (see DESIGN.md section 10); ``False``
-    #: selects the pre-engine scalar probes (kept as the equivalence and
-    #: benchmark baseline, mirroring ``build_threads=0``).
-    probe_engine: bool = True
-    #: REMIX-style sorted view over each version's tables
-    #: (:mod:`repro.lsm.sorted_view`): range reads seek a per-version
-    #: globally-sorted key array and step forward cursors instead of
-    #: rebuilding a k-way heap merge per query.  Views are maintained
-    #: incrementally at install time (only segments whose input tables
-    #: changed are rebuilt, through the parallel build pool) and carried
-    #: on ``Version`` objects, so snapshots share them for free.  Results,
-    #: per-filter stats and simulated time are bit-identical on and off
-    #: (see DESIGN.md section 13); ``False`` selects the classic merge
-    #: (kept as the equivalence and benchmark baseline, mirroring
-    #: ``build_threads=0`` / ``probe_engine=False``).
-    sorted_view: bool = True
     #: Run leveled compaction on a background thread: flushes install the
     #: L0 table and return immediately; merges run concurrently with
     #: serving through the MVCC version set (readers pin snapshots, so

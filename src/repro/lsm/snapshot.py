@@ -1,9 +1,10 @@
 """Point-in-time snapshot views over the MVCC version set.
 
-A :class:`SnapshotView` is the reader's half of DESIGN.md section 12: it
-pins the tree's current version, freezes the memtable, and then exposes
-the point-read surface of :class:`~repro.lsm.db.LSMTree` over **its own**
-simulated clock, RNG streams, page cache and stats.  Two consequences:
+A :class:`SnapshotView` is the reader's half of DESIGN.md section 12: the
+read kernel (:mod:`repro.lsm.read`) bound to a pinned context.  It pins
+the tree's current version, freezes the memtable, and serves every read
+surface of :class:`~repro.lsm.db.LSMTree` over **its own** simulated
+clock, RNG streams, page cache and stats.  Two consequences:
 
 * Concurrent writes, flushes and background compactions cannot change
   what the snapshot observes — the pinned version's tables cannot move,
@@ -17,31 +18,59 @@ simulated clock, RNG streams, page cache and stats.  Two consequences:
   simulated time — the property the attack-equivalence suite asserts
   while a writer and background compaction churn the live tree.
 
-The view duck-types the read surface :class:`~repro.system.service.KVService`
-and the attack oracles consume (``clock``/``options``/``stats``/
-``charge_cost``/``get``/``get_timed``/``getter``/``probe_plan``/
-``get_many``/``get_many_timed``/``filters_pass``/``filters_pass_many``),
-so ``KVService(db=tree.snapshot())`` runs the full attack machinery
-against a frozen store with no further changes.  Range reads
-(``range_query``/``scan``) are served through the same engine as the
-live tree — including the pinned version's sorted view, which the
-snapshot shares for free — so the range side channel is identically
-frozen; writes still require the live tree.
+The view carries the read surface :class:`~repro.system.service.KVService`
+and the attack oracles consume, so ``KVService(db=tree.snapshot())`` runs
+the full attack machinery against a frozen store with no further changes.
+Range reads share the pinned version's sorted view with the live tree for
+free, so the range side channel is identically frozen; writes still
+require the live tree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import DBClosedError
 from repro.common.rng import make_rng
 from repro.lsm.memtable import Entry
+from repro.lsm.read import ReadKernel
+from repro.lsm.version import Version
 from repro.storage.clock import SimClock
 from repro.storage.page_cache import PageCache
 
 
-class SnapshotView:
+class FrozenMemTable:
+    """The memtable as it was at snapshot time (tombstones included).
+
+    Serves the read kernel's memtable hook: ``get`` is the frozen dict's
+    own lookup (no wrapper call on the point-read hot path), and
+    ``items_from`` sorts lazily on the first range read.
+    """
+
+    __slots__ = ("get", "_entries", "_sorted")
+
+    def __init__(self, items: Iterable[Tuple[bytes, Entry]]) -> None:
+        self._entries = dict(items)
+        self.get = self._entries.get
+        self._sorted: Optional[List[Tuple[bytes, Entry]]] = None
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def items_from(self, low: bytes) -> Iterator[Tuple[bytes, Entry]]:
+        """Entries with key >= ``low`` in key order.
+
+        ``(low,)`` compares below ``(low, entry)``, so ``bisect_left``
+        lands on the first key >= low.
+        """
+        items = self._sorted
+        if items is None:
+            items = self._sorted = sorted(self._entries.items())
+        return iter(items[bisect_left(items, (low,)):])
+
+
+class SnapshotView(ReadKernel):
     """A consistent, self-timed, read-only view of one LSM-tree version."""
 
     def __init__(self, db, snapshot_id: int) -> None:
@@ -51,10 +80,7 @@ class SnapshotView:
         self.options = db.options
         self.versions = db.versions
         self.version = db.versions.pin()
-        #: The memtable frozen at snapshot time (includes tombstones,
-        #: exactly like the live memtable's shadowing behaviour).
-        self._memtable: Dict[bytes, Entry] = dict(db._memtable.items())
-        self._memtable_sorted: Optional[List[Tuple[bytes, Entry]]] = None
+        self._memtable = FrozenMemTable(db._memtable.items())
         self.clock = SimClock()
         self.clock.advance_to(db.clock.now_us)
         rng = make_rng(db.options.seed, f"snapshot-{snapshot_id}")
@@ -100,241 +126,14 @@ class SnapshotView:
         if self._db._closed:
             raise DBClosedError("snapshot outlived its closed LSMTree")
 
-    def charge_cost(self, base_us: float) -> None:
-        """Jittered in-memory charge against the snapshot's own clock."""
-        jitter = self.options.costs.jitter
-        if jitter:
-            base_us *= max(0.1, self._cost_rng.gauss(1.0, jitter))
-        self.clock.charge(base_us)
+    # ------------------------------------------------------ read-kernel hooks
 
-    # ------------------------------------------------------------------ reads
+    def _acquire_version(self) -> Version:
+        """The snapshot's version, pinned once for its whole lifetime."""
+        return self.version
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Point query against the frozen state (see ``LSMTree.get``)."""
-        self._check_open()
-        costs = self.options.costs
-        self.stats.gets += 1
-        self.charge_cost(costs.get_base_cost_us
-                         + costs.memtable_lookup_cost_us)
-        entry = self._memtable.get(key)
-        if entry is not None:
-            self.stats.memtable_hits += 1
-            return entry.value
-        for table in self.version.candidates_for_key(key):
-            if table.filter is not None:
-                self.stats.filter_checks += 1
-                self.charge_cost(costs.filter_query_cost_us)
-                if not table.filter.may_contain(key):
-                    self.stats.filter_negatives += 1
-                    continue
-            self.stats.table_reads += 1
-            entry = table.reader.get(key, self.cache, costs)
-            if entry is not None:
-                return entry.value
-        return None
-
-    def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
-        """``get`` plus its simulated response time in microseconds."""
-        with self.clock.measure() as stopwatch:
-            value = self.get(key)
-        return value, stopwatch.elapsed_us
-
-    def probe_plan(self, keys: Iterable[bytes],
-                   include_memtable_hits: bool = False):
-        """Pure batched-probe prepass (see ``LSMTree.probe_plan``).
-
-        The snapshot already holds the version pin, so the returned
-        plan's :meth:`~repro.lsm.db.ProbePlan.release` is a no-op.
-        """
-        from repro.lsm.db import ProbePlan
-        if not self.options.probe_engine:
-            return None
-        memtable_get = self._memtable.get
-        candidates_for_key = self.version.candidates_for_key
-        groups: Dict[int, Tuple[object, List[bytes]]] = {}
-        key_candidates: Dict[bytes, tuple] = {}
-        seen = set()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            if not include_memtable_hits and memtable_get(key) is not None:
-                continue
-            tables = tuple(candidates_for_key(key))
-            key_candidates[key] = tables
-            for table in tables:
-                filt = table.filter
-                if filt is None:
-                    continue
-                entry = groups.get(id(filt))
-                if entry is None:
-                    groups[id(filt)] = entry = (filt, [])
-                entry[1].append(key)
-        if not groups:
-            return None
-        plan = ProbePlan(self.version)
-        plan.candidates = key_candidates
-        for filt, filt_keys in groups.values():
-            plan.add(filt, filt_keys, filt.probe_many(filt_keys))
-        return plan
-
-    def getter(self, plan=None):
-        """Fast-path point-read closure (see ``LSMTree.getter``)."""
-        self._check_open()
-        costs = self.options.costs
-        stats = self.stats
-        cache = self.cache
-        memtable_get = self._memtable.get
-        candidates_for_key = self.version.candidates_for_key
-        base_cost = costs.get_base_cost_us + costs.memtable_lookup_cost_us
-        filter_cost = costs.filter_query_cost_us
-        jitter = costs.jitter
-        gauss = self._cost_rng.gauss
-        clock_charge = self.clock.charge
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-
-        def get_one(key: bytes) -> Optional[bytes]:
-            stats.gets += 1
-            if jitter:
-                clock_charge(base_cost * max(0.1, gauss(1.0, jitter)))
-            else:
-                clock_charge(base_cost)
-            entry = memtable_get(key)
-            if entry is not None:
-                stats.memtable_hits += 1
-                return entry.value
-            tables = plan_candidates(key)
-            if tables is None:
-                tables = candidates_for_key(key)
-            for table in tables:
-                filt = table.filter
-                if filt is not None:
-                    stats.filter_checks += 1
-                    if jitter:
-                        clock_charge(filter_cost * max(0.1, gauss(1.0, jitter)))
-                    else:
-                        clock_charge(filter_cost)
-                    if plan_lookup is not None:
-                        passed = plan_lookup(filt, key)
-                        if passed is None:
-                            passed = filt.may_contain(key)
-                        else:
-                            filt.stats.record_point(passed)
-                    else:
-                        passed = filt.may_contain(key)
-                    if not passed:
-                        stats.filter_negatives += 1
-                        continue
-                stats.table_reads += 1
-                entry = table.reader.get(key, cache, costs)
-                if entry is not None:
-                    return entry.value
-            return None
-
-        return get_one
-
-    def get_many(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
-        """Batch point query (see ``LSMTree.get_many``)."""
-        keys = list(keys)
-        get_one = self.getter(self.probe_plan(keys))
-        return [get_one(key) for key in keys]
-
-    def get_many_timed(self, keys: Iterable[bytes]
-                       ) -> List[Tuple[Optional[bytes], float]]:
-        """Batch ``get_timed`` (see ``LSMTree.get_many_timed``)."""
-        keys = list(keys)
-        get_one = self.getter(self.probe_plan(keys))
-        clock = self.clock
-        out: List[Tuple[Optional[bytes], float]] = []
-        append = out.append
-        for key in keys:
-            start = clock.now_us
-            value = get_one(key)
-            append((value, clock.now_us - start))
-        return out
-
-    # ------------------------------------------------------------ range reads
-
-    def _memtable_from(self, low: bytes) -> Iterator[Tuple[bytes, Entry]]:
-        """Frozen-memtable analogue of ``MemTable.items_from``.
-
-        Sorted lazily on first range read; ``(low,)`` compares below
-        ``(low, entry)`` so ``bisect_left`` lands on the first key >= low.
-        """
-        items = self._memtable_sorted
-        if items is None:
-            items = self._memtable_sorted = sorted(self._memtable.items())
-        return iter(items[bisect_left(items, (low,)):])
-
-    def range_query(self, low: bytes, high: bytes,
-                    limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """Bounded range read against the frozen state.
-
-        Same engine as ``LSMTree.range_query`` — filter-probe prepass,
-        then the pinned version's sorted view (shared with the live tree
-        at no cost) or the classic heap merge — charged against the
-        snapshot's own clock and RNG streams.
-        """
-        self._check_open()
-        if low > high:
-            return []
-        from repro.lsm.db import _range_query_impl
-        return _range_query_impl(self, self.version, self._memtable_from,
-                                 low, high, limit)
-
-    def scan(self, low: bytes, high: Optional[bytes] = None,
-             limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """Prefix-anchored scan (see ``LSMTree.scan`` for the bound rule)."""
-        if high is None:
-            high = low + b"\xff" * 64
-        return self.range_query(low, high, limit=limit)
-
-    # ------------------------------------------------------- attack-side APIs
-
-    def filters_pass(self, key: bytes) -> bool:
-        """Ground-truth filter decision (see ``LSMTree.filters_pass``)."""
-        self._check_open()
-        for table in self.version.candidates_for_key(key):
-            if table.filter is None or table.filter.may_contain(key):
-                return True
-        return False
-
-    def filters_pass_many(self, keys: Iterable[bytes]) -> List[bool]:
-        """Batch :meth:`filters_pass` (see ``LSMTree.filters_pass_many``)."""
-        self._check_open()
-        keys = list(keys)
-        plan = self.probe_plan(keys, include_memtable_hits=True)
-        candidates_for_key = self.version.candidates_for_key
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-        out: List[bool] = []
-        append = out.append
-        for key in keys:
-            passed_any = False
-            tables = plan_candidates(key)
-            if tables is None:
-                tables = candidates_for_key(key)
-            for table in tables:
-                filt = table.filter
-                if filt is None:
-                    passed_any = True
-                    break
-                if plan_lookup is not None:
-                    passed = plan_lookup(filt, key)
-                    if passed is None:
-                        passed = filt.may_contain(key)
-                    else:
-                        filt.stats.record_point(passed)
-                else:
-                    passed = filt.may_contain(key)
-                if passed:
-                    passed_any = True
-                    break
-            append(passed_any)
-        return out
+    def _release_version(self, version: Version) -> None:
+        """No-op: the pin is released by :meth:`close`."""
 
     # ------------------------------------------------------------------ intro
 

@@ -341,8 +341,8 @@ class SSTable:
     size_bytes: int
     #: ``filter`` when it can answer range probes, else None.  Resolved
     #: once at construction so the per-query source-planning loop reads
-    #: a plain attribute instead of re-deriving the capability check
-    #: (:func:`repro.lsm.db._range_filter_of` is the lookup's one home).
+    #: a plain attribute instead of re-deriving the capability check.
+    #: Point-only filters (plain Bloom) can never prune a range read.
     range_filter: Optional[Filter] = dc_field(init=False, default=None)
 
     def __post_init__(self) -> None:

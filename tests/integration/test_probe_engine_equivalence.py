@@ -1,18 +1,22 @@
 """Probe-engine equivalence: the batched filter path must be invisible.
 
-The filter-probe engine (``LSMOptions.probe_engine``, DESIGN.md section
-10) is a wall-clock optimization: a pure prepass computes a batch's
-filter verdicts through vectorized/shared-prefix batch probes, and the
-scalar per-key loop replays against the memo.  The attack's signal lives
-entirely in *simulated* time, so everything observable — verdicts,
-per-query latencies, extracted keys, per-stage query counts, per-filter
-stats, the final clock — must be bit-identical with the engine on or
-off.  These tests run the same seeded pipelines twice and compare every
-observable, for the SuRF timing attack (both trie and LOUDS backends)
-and the PBF attack the paper's section 7 describes.
+The filter-probe engine (DESIGN.md section 10) is a wall-clock
+optimization: a pure prepass computes a batch's filter verdicts through
+vectorized/shared-prefix batch probes, and the scalar per-key loop
+replays against the memo.  The attack's signal lives entirely in
+*simulated* time, so everything observable — verdicts, per-query
+latencies, extracted keys, per-stage query counts, per-filter stats,
+DBStats, the final clock — must be exactly what the scalar probes give.
+
+The full attacks (SuRF trie and LOUDS, PBF, idealized extension) are
+checked against golden digests recorded while the engine could still be
+switched off and both arms agreed (``tests/golden/probe_engine.json``).
+The batch-vs-scalar tests need no record: both sides run today, on the
+live tree and on a snapshot of it.
 """
 
 import pytest
+from golden import assert_golden
 
 from repro.core import (
     AttackConfig,
@@ -26,18 +30,17 @@ from repro.core import (
 )
 from repro.filters import PrefixBloomFilterBuilder, SuRFBuilder
 from repro.filters.surf import SuffixScheme, SurfVariant
+from repro.system.service import KVService
 from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
 
 WIDTH = 5
 
 
-def build_surf_env(probe_engine, backend="trie", num_keys=4000):
-    env = build_environment(DatasetConfig(
+def build_surf_env(backend="trie", num_keys=4000):
+    return build_environment(DatasetConfig(
         num_keys=num_keys, key_width=WIDTH, seed=77,
         filter_builder=SuRFBuilder(variant="real", suffix_bits=8,
                                    backend=backend)))
-    env.db.options.probe_engine = probe_engine
-    return env
 
 
 def filter_stats(db):
@@ -62,91 +65,102 @@ def run_surf_attack(env, num_samples=1500, num_candidates=6000):
     return learning, result
 
 
+def attack_observables(result, env):
+    """Everything the attack exposes, for the golden comparison."""
+    return {"extracted": [e.key for e in result.extracted],
+            "queries_by_stage": result.queries_by_stage,
+            "sim_duration_us": result.sim_duration_us,
+            "clock_us": env.clock.now_us,
+            "filter_stats": filter_stats(env.db),
+            "db_stats": env.db.stats.__dict__}
+
+
 class TestSurfAttackEquivalence:
     @pytest.mark.parametrize("backend", ["trie", "louds"])
     def test_full_attack_identical_on_and_off(self, backend):
-        env_on = build_surf_env(True, backend)
-        env_off = build_surf_env(False, backend)
-        learn_on, result_on = run_surf_attack(env_on)
-        learn_off, result_off = run_surf_attack(env_off)
-
-        # Learning: identical cutoff and identical per-query latencies.
-        assert learn_on.cutoff_us == learn_off.cutoff_us
-        assert learn_on.samples == learn_off.samples
-
-        # Attack: identical disclosures, accounting, simulated time.
-        assert ([e.key for e in result_on.extracted]
-                == [e.key for e in result_off.extracted])
-        assert result_on.queries_by_stage == result_off.queries_by_stage
-        assert result_on.sim_duration_us == result_off.sim_duration_us
-        assert env_on.clock.now_us == env_off.clock.now_us
-
-        # Stats recorded during replay must match the scalar loop's: the
-        # engine may *compute* more verdicts than the replay consumes,
-        # but only consumed verdicts count.
-        assert filter_stats(env_on.db) == filter_stats(env_off.db)
-        assert env_on.db.stats.__dict__ == env_off.db.stats.__dict__
+        env = build_surf_env(backend)
+        learning, result = run_surf_attack(env)
+        # Learning (cutoff and per-query latencies), disclosures,
+        # accounting and simulated time; filter stats count only the
+        # verdicts the replay consumed, never everything it computed.
+        observed = attack_observables(result, env)
+        observed["cutoff_us"] = learning.cutoff_us
+        observed["samples"] = learning.samples
+        assert_golden("probe_engine", f"surf_attack_{backend}", observed)
 
 
 class TestPbfAttackEquivalence:
     def test_full_attack_identical_on_and_off(self):
-        outcomes = {}
-        for engine_on in (False, True):
-            env = build_environment(DatasetConfig(
-                num_keys=8000, key_width=4, seed=62,
-                filter_builder=PrefixBloomFilterBuilder(prefix_len=3,
-                                                        bits_per_key=18.0)))
-            env.db.options.probe_engine = engine_on
-            oracle = IdealizedOracle(env.service, ATTACKER_USER)
-            strategy = PbfAttackStrategy(key_width=4, seed=63)
-            scan = strategy.detect_prefix_length(oracle, min_len=2, max_len=3,
-                                                 samples_per_length=2000)
-            result = PrefixSiphoningAttack(
-                oracle, strategy,
-                AttackConfig(key_width=4, num_candidates=15_000)).run()
-            outcomes[engine_on] = (scan.detected,
-                                   [e.key for e in result.extracted],
-                                   result.queries_by_stage,
-                                   result.sim_duration_us,
-                                   env.clock.now_us,
-                                   filter_stats(env.db))
-        assert outcomes[False] == outcomes[True]
-        assert outcomes[True][1]  # the attack actually extracted keys
+        env = build_environment(DatasetConfig(
+            num_keys=8000, key_width=4, seed=62,
+            filter_builder=PrefixBloomFilterBuilder(prefix_len=3,
+                                                    bits_per_key=18.0)))
+        oracle = IdealizedOracle(env.service, ATTACKER_USER)
+        strategy = PbfAttackStrategy(key_width=4, seed=63)
+        scan = strategy.detect_prefix_length(oracle, min_len=2, max_len=3,
+                                             samples_per_length=2000)
+        result = PrefixSiphoningAttack(
+            oracle, strategy,
+            AttackConfig(key_width=4, num_candidates=15_000)).run()
+        assert result.extracted  # the attack actually extracted keys
+        observed = attack_observables(result, env)
+        observed["detected"] = scan.detected
+        assert_golden("probe_engine", "pbf_attack", observed)
+
+
+@pytest.fixture(params=["db", "snapshot"])
+def bind(request):
+    """Bind an environment's reads to its live tree or to a snapshot."""
+    snapshots = []
+
+    def bind(env):
+        if request.param == "db":
+            return env.db
+        snapshot = env.db.snapshot()
+        snapshots.append(snapshot)
+        return snapshot
+
+    yield bind
+    for snapshot in snapshots:
+        snapshot.close()
 
 
 class TestBatchPathEquivalence:
-    def test_get_many_matches_scalar_gets(self):
-        env_batch = build_surf_env(True, num_keys=2500)
-        env_scalar = build_surf_env(False, num_keys=2500)
+    def test_get_many_matches_scalar_gets(self, bind):
+        env_batch = build_surf_env(num_keys=2500)
+        env_scalar = build_surf_env(num_keys=2500)
+        store_batch, store_scalar = bind(env_batch), bind(env_scalar)
         probes = []
         for i, stored in enumerate(env_batch.keys[::41]):
             probes.append(stored)
             probes.append(bytes([i % 251, 3 * i % 251, 9, 55, i % 17]))
         probes += probes[:25]  # duplicates must replay identically
-        batched = env_batch.service.get_many_timed(ATTACKER_USER, probes)
-        scalar = [env_scalar.service.get_timed(ATTACKER_USER, key)
-                  for key in probes]
+        batched = KVService(store_batch).get_many_timed(ATTACKER_USER, probes)
+        get_timed = KVService(store_scalar).get_timed
+        scalar = [get_timed(ATTACKER_USER, key) for key in probes]
         assert [(r.status, t) for r, t in batched] \
             == [(r.status, t) for r, t in scalar]
-        assert env_batch.clock.now_us == env_scalar.clock.now_us
+        assert store_batch.clock.now_us == store_scalar.clock.now_us
         assert filter_stats(env_batch.db) == filter_stats(env_scalar.db)
 
-    def test_filters_pass_many_matches_scalar_loop(self):
-        env_batch = build_surf_env(True, num_keys=2500)
-        env_scalar = build_surf_env(True, num_keys=2500)
+    def test_filters_pass_many_matches_scalar_loop(self, bind):
+        env_batch = build_surf_env(num_keys=2500)
+        env_scalar = build_surf_env(num_keys=2500)
+        store_batch, store_scalar = bind(env_batch), bind(env_scalar)
         probes = list(env_batch.keys[::29])
         probes += [bytes([i % 251, i % 13, 1, 2, 3]) for i in range(200)]
         probes += probes[:15]
-        batched = env_batch.db.filters_pass_many(probes)
-        scalar = [env_scalar.db.filters_pass(key) for key in probes]
+        batched = store_batch.filters_pass_many(probes)
+        scalar = [store_scalar.filters_pass(key) for key in probes]
         assert batched == scalar
+        assert store_batch.clock.now_us == store_scalar.clock.now_us
         # Short-circuit accounting: later filters on a key's path are not
         # probed (nor recorded) once one passes — in both worlds.
         assert filter_stats(env_batch.db) == filter_stats(env_scalar.db)
 
     def test_fine_timing_batched_classify_matches_per_key_loop(self):
-        env_batch = build_surf_env(True, num_keys=2500)
-        env_loop = build_surf_env(True, num_keys=2500)
+        env_batch = build_surf_env(num_keys=2500)
+        env_loop = build_surf_env(num_keys=2500)
         keys = list(env_batch.keys[::37])
         keys += [bytes([i % 251, 7, i % 29, 4, 5]) for i in range(60)]
 
@@ -173,17 +187,14 @@ class TestBatchPathEquivalence:
     def test_extension_chunking_identical_on_and_off(self):
         # The buffered serial scan of extend_prefix must not change what
         # the idealized attack pays per prefix.
-        results = {}
-        for engine_on in (False, True):
-            env = build_surf_env(engine_on, num_keys=4000)
-            oracle = IdealizedOracle(env.service, ATTACKER_USER)
-            strategy = SurfAttackStrategy(
-                WIDTH, SuffixScheme(SurfVariant.REAL, 8), seed=81)
-            result = PrefixSiphoningAttack(
-                oracle, strategy,
-                AttackConfig(key_width=WIDTH, num_candidates=8000)).run()
-            results[engine_on] = ([e.key for e in result.extracted],
-                                  result.queries_by_stage,
-                                  [e.queries_spent for e in result.extracted],
-                                  env.clock.now_us)
-        assert results[False] == results[True]
+        env = build_surf_env(num_keys=4000)
+        oracle = IdealizedOracle(env.service, ATTACKER_USER)
+        strategy = SurfAttackStrategy(
+            WIDTH, SuffixScheme(SurfVariant.REAL, 8), seed=81)
+        result = PrefixSiphoningAttack(
+            oracle, strategy,
+            AttackConfig(key_width=WIDTH, num_candidates=8000)).run()
+        observed = attack_observables(result, env)
+        observed["queries_spent"] = [e.queries_spent
+                                     for e in result.extracted]
+        assert_golden("probe_engine", "extension_chunking", observed)

@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 
 from repro.common.errors import CompactionError, SimulatedCrashError
 from repro.common.rng import make_rng
+from repro.filters import BloomFilterBuilder
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
 from repro.lsm.torture import default_torture_options
@@ -40,8 +41,11 @@ from repro.storage.faults import FaultPlan, FaultyStorageDevice
 
 
 def torture_options():
+    # Filters give get_many real probe plans, so its replay races the
+    # writer's flushes (a plan pins the version of its prepass).
     return LSMOptions(memtable_size_bytes=2048, sstable_target_bytes=4096,
                       block_size_bytes=512, l0_compaction_trigger=2,
+                      filter_builder=BloomFilterBuilder(),
                       background_compaction=True)
 
 
@@ -106,6 +110,26 @@ def test_concurrent_readers_never_see_torn_state(seed):
         except BaseException as exc:  # pragma: no cover - failure path
             failures.append((f"reader-{reader_id}", exc))
 
+    def batch_reader():
+        batch_rng = rng.spawn("batches")
+        try:
+            while not stop.is_set():
+                batch = [keys[batch_rng.randrange(num_keys)]
+                         for _ in range(8)]
+                with oracle_lock:
+                    lows = [written_gen[key] for key in batch]
+                observed = db.get_many(batch)
+                with oracle_lock:
+                    highs = [written_gen[key] for key in batch]
+                # Same window as a point read, per key of the batch.
+                for key, got, low, high in zip(batch, observed, lows, highs):
+                    if got not in {value(g, key)
+                                   for g in range(low, high + 2)}:
+                        failures.append(("torn-batch", key, got, low, high))
+                        return
+        except BaseException as exc:  # pragma: no cover - failure path
+            failures.append(("batch-reader", exc))
+
     def snapshot_reader():
         snap_rng = rng.spawn("snapshots")
         try:
@@ -135,6 +159,7 @@ def test_concurrent_readers_never_see_torn_state(seed):
     threads = [threading.Thread(target=writer)]
     threads += [threading.Thread(target=point_reader, args=(i,))
                 for i in range(2)]
+    threads.append(threading.Thread(target=batch_reader))
     threads.append(threading.Thread(target=snapshot_reader))
     for thread in threads:
         thread.start()

@@ -131,6 +131,23 @@ class TestSnapshotLifetimes:
             snap.get(b"key-0001")
         snap.close()
 
+    def test_probe_plan_on_closed_store_raises(self):
+        from repro.filters import BloomFilterBuilder
+        db, items = filled_db(filter_builder=BloomFilterBuilder())
+        keys = sorted(items)[:20]
+        snap = db.snapshot()
+        snap.close()
+        with pytest.raises(DBClosedError):
+            snap.probe_plan(keys)
+        live_snap = db.snapshot()
+        db.close()
+        with pytest.raises(DBClosedError):
+            db.probe_plan(keys)
+        with pytest.raises(DBClosedError):
+            live_snap.probe_plan(keys)
+        live_snap.close()
+        assert db.versions.pinned_count() == 0
+
     def test_context_manager_closes(self):
         db, items = filled_db()
         with db.snapshot() as snap:

@@ -1,11 +1,17 @@
 """Sorted-view equivalence suite (DESIGN.md section 13).
 
-The contract: with ``options.sorted_view`` on, every range surface
-(``range_query``/``scan``/``iterator``) returns identical results, drives
-identical per-filter stats, and reads a **bit-identical** simulated clock
-compared to the classic per-query heap merge — across fresh bulk-loaded
-trees, write/delete/flush churn (the incremental ``evolve`` path), lazy
-full rebuilds, snapshots, and the process-pool build transport.
+The contract: every range surface (``range_query``/``scan``/``iterator``)
+served through the version's sorted view returns identical results,
+drives identical per-filter stats, and reads a **bit-identical**
+simulated clock compared to the classic per-query heap merge — across
+fresh bulk-loaded trees, write/delete/flush churn (the incremental
+``evolve`` path), lazy full rebuilds, snapshots, and the process-pool
+build transport.
+
+The classic merge is no longer selectable per tree (it only serves
+versions without a view), so each script is checked against golden
+digests recorded while both engines were selectable and agreed:
+``tests/golden/sorted_view.json``.
 """
 
 from __future__ import annotations
@@ -13,20 +19,19 @@ from __future__ import annotations
 import dataclasses
 import random
 
-import pytest
+from golden import assert_golden
 
 from repro.filters import SuRFBuilder
 from repro.lsm import parallel_build
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
-from repro.lsm.sorted_view import SortedView, ensure_view
+from repro.lsm.sorted_view import UNBUILDABLE, SortedView, ensure_view
 
 
-def _options(sorted_view: bool, **overrides) -> LSMOptions:
+def _options(**overrides) -> LSMOptions:
     defaults = dict(filter_builder=SuRFBuilder(variant="real", suffix_bits=8),
                     sstable_target_bytes=8 * 1024,
-                    memtable_size_bytes=8 * 1024,
-                    sorted_view=sorted_view, seed=7)
+                    memtable_size_bytes=8 * 1024, seed=7)
     defaults.update(overrides)
     return LSMOptions(**defaults)
 
@@ -55,23 +60,20 @@ def _db_stats(db):
     return counters
 
 
-def _run_script(sorted_view: bool, script, **options):
-    db = LSMTree(_options(sorted_view, **options))
+def _run_script(script, **options):
+    db = LSMTree(_options(**options))
     try:
         trace = script(db)
-        return (trace, db.clock.now_us, _db_stats(db), _filter_stats(db))
+        return {"results": trace, "clock_us": db.clock.now_us,
+                "db_stats": _db_stats(db), "filter_stats": _filter_stats(db)}
     finally:
         db.close()
         assert db.leaked_pins == 0
 
 
-def _assert_equivalent(script, **options):
-    with_view = _run_script(True, script, **options)
-    without = _run_script(False, script, **options)
-    assert with_view[0] == without[0], "results diverged"
-    assert with_view[1] == without[1], "simulated clocks diverged"
-    assert with_view[2] == without[2], "DBStats diverged"
-    assert with_view[3] == without[3], "per-filter stats diverged"
+def _assert_equivalent(case, script, **options):
+    """Results, clock, DBStats and filter stats match the golden run."""
+    assert_golden("sorted_view", case, _run_script(script, **options))
 
 
 def _load(db, keys, start=0):
@@ -97,7 +99,7 @@ def test_bounded_range_queries_equivalent():
                                         limit=rng.choice([None, 1, 4])))
         return trace
 
-    _assert_equivalent(script)
+    _assert_equivalent("bounded_range_queries", script)
 
 
 def test_churn_exercises_incremental_evolve():
@@ -117,16 +119,16 @@ def test_churn_exercises_incremental_evolve():
         trace.append(db.range_query(b"\x00", b"\xff" * 8))
         return trace
 
-    # The view-on run must actually maintain views across several
+    # The script must actually maintain views across several
     # flush/compaction installs, not just build once.
-    db = LSMTree(_options(True))
+    db = LSMTree(_options())
     try:
         script(db)
         assert db.stats.flushes > 3
         assert db.stats.view_rebuild_segments >= db.stats.flushes
     finally:
         db.close()
-    _assert_equivalent(script)
+    _assert_equivalent("churn_incremental_evolve", script)
 
 
 def test_scan_derives_prefix_bound_and_prunes():
@@ -144,7 +146,7 @@ def test_scan_derives_prefix_bound_and_prunes():
         assert db.stats.filter_negatives > before
         return trace
 
-    _assert_equivalent(script)
+    _assert_equivalent("scan_prefix_bound", script)
 
 
 def test_iterator_partial_consumption_equivalent():
@@ -167,7 +169,7 @@ def test_iterator_partial_consumption_equivalent():
         trace.append(list(bounded))
         return trace
 
-    _assert_equivalent(script)
+    _assert_equivalent("iterator_partial_consumption", script)
 
 
 def test_memtable_overlay_and_tombstones():
@@ -188,7 +190,7 @@ def test_memtable_overlay_and_tombstones():
                 db.range_query(keys[3], keys[3]),
                 db.scan(keys[7][:2])]
 
-    _assert_equivalent(script)
+    _assert_equivalent("memtable_overlay_and_tombstones", script)
 
 
 def test_degenerate_ranges():
@@ -202,7 +204,7 @@ def test_degenerate_ranges():
                 db.range_query(keys[5], keys[5]),          # singleton
                 db.range_query(b"\xff" * 8, b"\xff" * 9)]  # past the end
 
-    _assert_equivalent(script)
+    _assert_equivalent("degenerate_ranges", script)
 
 
 def test_snapshot_range_reads_equivalent():
@@ -223,12 +225,12 @@ def test_snapshot_range_reads_equivalent():
             trace.append((snap.clock.now_us,))
         return trace
 
-    _assert_equivalent(script)
+    _assert_equivalent("snapshot_range_reads", script)
 
 
 def test_snapshot_isolated_from_later_writes():
     keys = _keys(800, seed=51)
-    db = LSMTree(_options(True))
+    db = LSMTree(_options())
     try:
         _load(db, keys)
         db.flush()
@@ -259,14 +261,14 @@ def test_pool_built_view_equivalent(monkeypatch):
             trace.append(db.range_query(low, low + b"\xff\xff"))
         return trace
 
-    _assert_equivalent(script, build_threads=4)
+    _assert_equivalent("pool_built_view", script, build_threads=4)
 
 
 # ------------------------------------------------------------- unit level
 
 
 def test_view_built_lazily_and_carried_on_version():
-    db = LSMTree(_options(True))
+    db = LSMTree(_options())
     try:
         _load(db, _keys(600, seed=4))
         db.flush()
@@ -282,7 +284,7 @@ def test_view_built_lazily_and_carried_on_version():
 
 
 def test_view_segments_cover_all_live_keys():
-    db = LSMTree(_options(True))
+    db = LSMTree(_options())
     keys = sorted(set(_keys(900, seed=8)))
     try:
         _load(db, keys)
@@ -301,7 +303,7 @@ def test_view_segments_cover_all_live_keys():
 def test_incremental_evolve_reuses_unchanged_segments():
     # Enough keys for several SEGMENT_TARGET-sized segments, so a
     # key-clustered flush demonstrably rebuilds a strict subset.
-    db = LSMTree(_options(True, memtable_size_bytes=2 * 1024 * 1024,
+    db = LSMTree(_options(memtable_size_bytes=2 * 1024 * 1024,
                           sstable_target_bytes=256 * 1024))
     try:
         keys = sorted(set(_keys(14000, seed=29)))
@@ -326,13 +328,16 @@ def test_incremental_evolve_reuses_unchanged_segments():
         db.close()
 
 
-def test_off_switch_never_builds_a_view():
-    db = LSMTree(_options(False))
+def test_empty_version_takes_classic_fallback():
+    # No tables, no view: the memtable-only read runs the classic merge
+    # and the version is marked unbuildable rather than retried per read.
+    db = LSMTree(_options())
     try:
-        _load(db, _keys(500, seed=6))
-        db.flush()
-        db.range_query(b"\x00", b"\xff" * 8)
-        assert db.versions.current._view is None
+        keys = _keys(50, seed=6)
+        _load(db, keys)
+        got = db.range_query(b"\x00", b"\xff" * 8)
+        assert [key for key, _ in got] == sorted(set(keys))
+        assert db.versions.current._view is UNBUILDABLE
         assert db.stats.sorted_view_seeks == 0
         assert db.stats.view_rebuild_segments == 0
     finally:
@@ -340,7 +345,7 @@ def test_off_switch_never_builds_a_view():
 
 
 def test_counters_route_through_view():
-    db = LSMTree(_options(True))
+    db = LSMTree(_options())
     try:
         _load(db, _keys(500, seed=16))
         db.flush()
