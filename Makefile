@@ -7,7 +7,7 @@
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench serve-smoke ingest-smoke probe-smoke async-smoke mvcc-smoke range-smoke torture clean
+.PHONY: check test test39 bench bench-check serve-smoke ingest-smoke probe-smoke async-smoke mvcc-smoke range-smoke torture clean
 
 check: test test39
 
@@ -28,6 +28,15 @@ test39:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
+
+# The end-to-end benchmark's own checks, short: the self-test (digests
+# equal across runs and tracing on/off, exact counts repeat), then one
+# 1-second run of each attack workload, whose per-unit attack digests are
+# checked against perfbench/golden.json.  Nonzero exit on any mismatch.
+bench-check:
+	$(PYTHON) perfbench/run.py --self-test
+	$(PYTHON) perfbench/run.py --workload surf-attack --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload range-attack --seed 0 --seconds 1 --trace 0
 
 # Small-N run of the ingest bench: asserts parallel == serial output
 # digests (the engine's determinism contract) without the full-size

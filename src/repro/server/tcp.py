@@ -46,6 +46,8 @@ from repro.common.errors import (
 from repro.server import protocol
 from repro.server.protocol import ErrorCode, Frame, Opcode
 from repro.storage.background import BackgroundLoad
+from repro.system.defense import DefendedService
+from repro.system.ratelimit import RateLimitedService
 
 
 @dataclass(frozen=True)
@@ -128,41 +130,18 @@ class OrderedGate:
 
 def collect_stats(service, background: Optional[BackgroundLoad] = None
                   ) -> protocol.StatsSnapshot:
-    """Aggregate a STATS snapshot across an arbitrary facade stack.
+    """Aggregate a STATS snapshot over a service pipeline.
 
-    Services stack (``MonitoredService(RateLimitedService(KVService))``,
-    defense layers, test doubles), so no fixed unwrap depth is correct:
-    this walks the ``.service`` chain, takes the request counters from the
-    first layer that owns a stats object, sums the stall counters from
-    whichever layers own them, and picks up defense counters from a
-    defense layer anywhere in the stack.  Shared by the threaded and
-    asyncio servers.
+    The request counters are the pipeline core's; the stall counters are
+    summed over its rate-limiting stages and the decision counters over
+    its defense stages.  Shared by the threaded and asyncio servers.
     """
-    stats = None
-    stalled = 0
-    stall_us = 0.0
-    flagged = 0
-    escalations = 0
-    noise = 0
-    layer = service
-    seen: set = set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        if stats is None:
-            candidate = getattr(layer, "stats", None)
-            if candidate is not None and hasattr(candidate, "requests"):
-                stats = candidate
-        own = vars(layer) if hasattr(layer, "__dict__") else {}
-        if "stalled_requests" in own:
-            stalled += layer.stalled_requests
-            stall_us += layer.total_stall_us
-        snapshot = getattr(layer, "defense_snapshot", None)
-        if callable(snapshot):
-            defense = snapshot()
-            flagged += defense.flagged_users
-            escalations += defense.escalations
-            noise += defense.noise_injections
-        layer = getattr(layer, "service", None)
+    stats = getattr(service, "stats", None)
+    stages = getattr(service, "stages", ())
+    limiters = [stage for stage in stages
+                if isinstance(stage, RateLimitedService)]
+    defenses = [stage.defense_snapshot() for stage in stages
+                if isinstance(stage, DefendedService)]
     eviction = background.eviction_wait_us() if background is not None else 0.0
     db = getattr(service, "db", None)
     compactor = (getattr(db, "_bg_compactor", None)
@@ -176,11 +155,13 @@ def collect_stats(service, background: Optional[BackgroundLoad] = None
         not_found=stats.not_found if stats else 0,
         unauthorized=stats.unauthorized if stats else 0,
         eviction_wait_us=eviction,
-        stalled_requests=stalled,
-        total_stall_us=stall_us,
-        flagged_users=flagged,
-        throttle_escalations=escalations,
-        noise_injections=noise,
+        stalled_requests=sum(stage.stalled_requests for stage in limiters),
+        total_stall_us=sum(stage.total_stall_us for stage in limiters),
+        flagged_users=sum(defense.flagged_users for defense in defenses),
+        throttle_escalations=sum(defense.escalations
+                                 for defense in defenses),
+        noise_injections=sum(defense.noise_injections
+                             for defense in defenses),
         compactions_run=compactor.compactions_run if compactor else 0,
         background_cycles=(background_thread.cycles
                            if background_thread is not None else 0),

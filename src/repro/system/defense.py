@@ -3,7 +3,7 @@
 :class:`~repro.system.detector.SiphoningDetector` only *scores*;
 :class:`~repro.system.ratelimit.RateLimitedService` only *slows
 everyone*.  This module closes the loop the paper's section 11 sketches:
-a serving-path facade that feeds every request outcome to the detector
+a serving-path pipeline stage that feeds every request outcome to the detector
 and, when a user's window trips it, responds — by escalation:
 
 * ``observe`` — score and flag only (the audit-log posture).  Flags are
@@ -30,13 +30,13 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.common.errors import ConfigError
-from repro.lsm.read import ProbePlan
 from repro.system.detector import DetectorPolicy, SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
-from repro.system.responses import Response, Status
+from repro.system.responses import Status
+from repro.system.service import KVService, ServiceStage
 
 #: Escalation modes, in order of aggressiveness.
 DEFENSE_MODES = ("observe", "throttle", "noise")
@@ -82,45 +82,43 @@ class DefenseSnapshot:
     mode: str
 
 
-def find_limiter(service) -> Optional[RateLimitedService]:
-    """First layer in the ``.service`` chain that can escalate per user."""
-    layer = service
-    seen: Set[int] = set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        if callable(getattr(layer, "set_user_policy", None)):
-            return layer
-        layer = getattr(layer, "service", None)
+def find_limiter(service: KVService) -> Optional[RateLimitedService]:
+    """Outermost rate-limiting stage of ``service``'s pipeline, if any."""
+    for stage in service.stages:
+        if isinstance(stage, RateLimitedService):
+            return stage
     return None
 
 
-class DefendedService:
-    """A full-surface :class:`KVService` facade that fights back.
+class DefendedService(ServiceStage):
+    """A pipeline stage that fights back.
 
-    Wraps any service stack (typically
+    Wraps any service pipeline (typically
     ``RateLimitedService(KVService)``); every request outcome — scalar or
-    batch, read or write — feeds the detector, and flagged users are
-    punished per :class:`DefensePolicy`.  Thread-safe for the threaded
-    wire server; single-threaded asyncio needs no extra care.
+    batch, read or write — feeds the detector through the ``observe``
+    hook, and flagged users are punished per :class:`DefensePolicy`.  A
+    flag raised mid-batch takes effect from the batch's next key, exactly
+    as in a loop of scalar calls.  Thread-safe for the threaded wire
+    server; single-threaded asyncio needs no extra care.
 
-    Noise is charged to the simulated clock *inside* the lookup window,
-    so both the server-reported elapsed time and any client-side clock
-    delta include it — exactly what a defending system's perturbed
-    response time would look like to the attacker.
+    Noise is charged to the simulated clock by the ``noise`` hook, right
+    after the lookup's window, and is added to the lookup's measured
+    time — exactly what a defending system's perturbed response time
+    would look like to the attacker, and the clock delta a client sees
+    includes it too.
     """
 
-    def __init__(self, service, policy: DefensePolicy = DefensePolicy(),
+    def __init__(self, service: KVService,
+                 policy: DefensePolicy = DefensePolicy(),
                  detector: Optional[SiphoningDetector] = None) -> None:
-        self.service = service
-        self.policy = policy
-        self.detector = detector or SiphoningDetector()
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
         self._limiter = find_limiter(service)
         if policy.mode == "throttle" and self._limiter is None:
             raise ConfigError(
                 "throttle mode needs a RateLimitedService in the stack "
                 "(see build_defended_service)")
+        super().__init__(service)
+        self.policy = policy
+        self.detector = detector or SiphoningDetector()
         self._rng = random.Random(policy.seed)
         self._lock = threading.Lock()
         self._since_check: Dict[int, int] = {}
@@ -130,7 +128,8 @@ class DefendedService:
 
     # ------------------------------------------------------------- decisions
 
-    def _observe(self, user: int, key: bytes, status: Status) -> None:
+    def observe(self, user: int, key: bytes, status: Status) -> None:
+        """Stage hook: feed the detector; flag (and maybe escalate)."""
         self.detector.observe(user, key, status)
         with self._lock:
             count = self._since_check.get(user, 0) + 1
@@ -151,8 +150,8 @@ class DefendedService:
         if escalate:
             self._limiter.set_user_policy(user, self.policy.penalty)
 
-    def _noise_for(self, user: int, status: Status) -> float:
-        """Charge (and return) noise for one lookup outcome, maybe zero."""
+    def noise(self, user: int, status: Status) -> float:
+        """Stage hook: charge (and return) noise for one lookup, maybe zero."""
         if self.policy.mode != "noise" or status is Status.OK:
             return 0.0
         with self._lock:
@@ -178,136 +177,13 @@ class DefendedService:
                 mode=self.policy.mode,
             )
 
-    # ------------------------------------------------------------------ reads
-
-    def get(self, user: int, key: bytes) -> Response:
-        """Defended point request."""
-        response = self.service.get(user, key)
-        self._observe(user, key, response.status)
-        self._noise_for(user, response.status)
-        return response
-
-    def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Defended timed point request; noise lands in the elapsed time."""
-        response, elapsed = self.service.get_timed(user, key)
-        self._observe(user, key, response.status)
-        elapsed += self._noise_for(user, response.status)
-        return response, elapsed
-
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
-        """Fast-path closure: observation + noise per call.
-
-        Noise charges the clock inside the call, so callers that time
-        around the closure (``get_many_timed``, the oracles) see it.
-        """
-        get_one = self.service.getter(user, plan)
-        observe = self._observe
-        noise = self._noise_for
-
-        def defended_get(key: bytes) -> Response:
-            response = get_one(key)
-            observe(user, key, response.status)
-            noise(user, response.status)
-            return response
-
-        return defended_get
-
-    def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Defended batch read."""
-        keys = list(keys)
-        responses = self.service.get_many(user, keys)
-        for key, response in zip(keys, responses):
-            self._observe(user, key, response.status)
-            self._noise_for(user, response.status)
-        return responses
-
-    def get_many_timed(self, user: int, keys: Sequence[bytes]
-                       ) -> List[Tuple[Response, float]]:
-        """Defended batch timed read; per-key noise lands in each time.
-
-        Delegates to the wrapped stack's timed batch so a rate limiter's
-        stalls stay *excluded* from the measurement (throttling slows the
-        attacker down without touching the side channel), then adds the
-        noise perturbation — the one defense that is *meant* to show up
-        in response times — on top.
-        """
-        keys = list(keys)
-        timed = self.service.get_many_timed(user, keys)
-        out: List[Tuple[Response, float]] = []
-        for key, (response, elapsed) in zip(keys, timed):
-            self._observe(user, key, response.status)
-            out.append((response,
-                        elapsed + self._noise_for(user, response.status)))
-        return out
-
-    def range_query(self, user: int, low: bytes, high: bytes,
-                    limit: Optional[int] = None):
-        """Defended range request (emptiness observed as a miss)."""
-        out = self.service.range_query(user, low, high, limit=limit)
-        self._observe(user, low, Status.OK if out else Status.NOT_FOUND)
-        return out
-
-    def range_query_timed(self, user: int, low: bytes, high: bytes,
-                          limit: Optional[int] = None):
-        """Defended timed range request."""
-        out, elapsed = self.service.range_query_timed(user, low, high,
-                                                      limit=limit)
-        self._observe(user, low, Status.OK if out else Status.NOT_FOUND)
-        return out, elapsed
-
-    # ----------------------------------------------------------------- writes
-
-    def put(self, user: int, key: bytes, payload: bytes,
-            acl=None) -> Response:
-        """Defended write."""
-        response = self.service.put(user, key, payload, acl)
-        self._observe(user, key, response.status)
-        return response
-
-    def put_timed(self, user: int, key: bytes, payload: bytes,
-                  acl=None) -> Tuple[Response, float]:
-        """Defended timed write."""
-        response, elapsed = self.service.put_timed(user, key, payload, acl)
-        self._observe(user, key, response.status)
-        return response, elapsed
-
-    def put_many(self, user: int, items, acl=None) -> List[Response]:
-        """Defended batch write, one observation per record."""
-        items = list(items)
-        responses = self.service.put_many(user, items, acl)
-        for (key, _), response in zip(items, responses):
-            self._observe(user, key, response.status)
-        return responses
-
-    def put_many_timed(self, user: int, items,
-                       acl=None) -> Tuple[List[Response], float]:
-        """Defended timed batch write, one observation per record."""
-        items = list(items)
-        responses, elapsed = self.service.put_many_timed(user, items, acl)
-        for (key, _), response in zip(items, responses):
-            self._observe(user, key, response.status)
-        return responses, elapsed
-
-    def delete(self, user: int, key: bytes) -> Response:
-        """Defended delete."""
-        response = self.service.delete(user, key)
-        self._observe(user, key, response.status)
-        return response
-
-    def delete_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Defended timed delete."""
-        response, elapsed = self.service.delete_timed(user, key)
-        self._observe(user, key, response.status)
-        return response, elapsed
-
 
 #: Permissive base limit inserted under throttle mode when the stack has
 #: no limiter of its own: effectively unthrottled until escalation.
 DEFAULT_BASE_LIMIT = RateLimitPolicy(requests_per_second=1e6, burst=4096)
 
 
-def build_defended_service(service, mode: str = "observe",
+def build_defended_service(service: KVService, mode: str = "observe",
                            policy: Optional[DefensePolicy] = None,
                            detector: Optional[SiphoningDetector] = None,
                            detector_policy: Optional[DetectorPolicy] = None,

@@ -29,13 +29,12 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_len
-from repro.lsm.read import ProbePlan
-from repro.system.responses import Response, Status
-from repro.system.service import KVService
+from repro.system.responses import Status
+from repro.system.service import KVService, ServiceStage
 
 
 @dataclass(frozen=True)
@@ -150,141 +149,26 @@ class SiphoningDetector:
         return mean_lcp - baseline
 
 
-class MonitoredService:
-    """A :class:`KVService` facade that feeds the detector inline.
+class MonitoredService(ServiceStage):
+    """A pipeline stage that feeds the detector inline.
 
-    Exposes the *full* surface the attack oracles and the wire servers
-    consume — scalar and batch, reads and writes — with one observation
-    per key, so the batched probe-engine paths (``getter`` /
-    ``get_many`` / ``get_many_timed``) feed the detector exactly like a
-    loop of scalar gets: a batched attack trips the same verdict as the
-    serial one.  Detection is passive here (observe + flag); pairing it
-    with :class:`~repro.system.ratelimit.RateLimitedService` — or the
-    active :class:`~repro.system.defense.DefendedService` — yields the
+    ``MonitoredService(service)`` is ``service`` plus one observation per
+    key of every request — scalar and batch, reads and writes — so the
+    batched probe-engine paths (``getter`` / ``get_many`` /
+    ``get_many_timed``) feed the detector exactly like a loop of scalar
+    gets: a batched attack trips the same verdict as the serial one.
+    Observation touches no clock, stats or RNG.  Detection is passive here
+    (observe + flag); pairing it with
+    :class:`~repro.system.ratelimit.RateLimitedService` — or the active
+    :class:`~repro.system.defense.DefendedService` — yields the
     detect-then-throttle response of section 11.
     """
 
     def __init__(self, service: KVService,
                  detector: Optional[SiphoningDetector] = None) -> None:
-        self.service = service
+        super().__init__(service)
         self.detector = detector or SiphoningDetector()
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
 
-    # ------------------------------------------------------------------ reads
-
-    def get(self, user: int, key: bytes) -> Response:
-        """Forward a point request, recording its outcome."""
-        response = self.service.get(user, key)
-        self.detector.observe(user, key, response.status)
-        return response
-
-    def get_timed(self, user: int, key: bytes):
-        """Forward a timed point request, recording its outcome."""
-        response, elapsed = self.service.get_timed(user, key)
-        self.detector.observe(user, key, response.status)
-        return response, elapsed
-
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
-        """Fast-path closure with per-key observation.
-
-        This is the single point the batch APIs and the attack oracles'
-        probe fast path build on — observing here closes the blind spot
-        where probe-engine queries bypassed the detector entirely.
-        """
-        get_one = self.service.getter(user, plan)
-        observe = self.detector.observe
-
-        def monitored_get(key: bytes) -> Response:
-            response = get_one(key)
-            observe(user, key, response.status)
-            return response
-
-        return monitored_get
-
-    def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Batch read, one observation per key."""
-        keys = list(keys)
-        responses = self.service.get_many(user, keys)
-        for key, response in zip(keys, responses):
-            self.detector.observe(user, key, response.status)
-        return responses
-
-    def get_many_timed(self, user: int, keys: Sequence[bytes]
-                       ) -> List[Tuple[Response, float]]:
-        """Batch timed read, one observation per key.
-
-        Delegates to the wrapped service's own timed batch, so per-key
-        times are exactly what the unmonitored stack reports — including
-        a stacked rate limiter's stall *exclusion* (stalls are client
-        queuing, not response time; re-timing here would leak them into
-        the measurement).  Observation touches no clock, stats, or RNG.
-        """
-        keys = list(keys)
-        timed = self.service.get_many_timed(user, keys)
-        for key, (response, _) in zip(keys, timed):
-            self.detector.observe(user, key, response.status)
-        return timed
-
-    def range_query(self, user: int, low: bytes, high: bytes,
-                    limit: Optional[int] = None):
-        """Forward a range request, recording emptiness as a miss."""
-        out = self.service.range_query(user, low, high, limit=limit)
-        self.detector.observe(user, low,
-                              Status.OK if out else Status.NOT_FOUND)
-        return out
-
-    def range_query_timed(self, user: int, low: bytes, high: bytes,
-                          limit: Optional[int] = None):
-        """Forward a timed range request, recording emptiness as a miss."""
-        out, elapsed = self.service.range_query_timed(user, low, high,
-                                                      limit=limit)
-        self.detector.observe(user, low,
-                              Status.OK if out else Status.NOT_FOUND)
-        return out, elapsed
-
-    # ----------------------------------------------------------------- writes
-
-    def put(self, user: int, key: bytes, payload: bytes,
-            acl=None) -> Response:
-        """Forward a write, recording its outcome."""
-        response = self.service.put(user, key, payload, acl)
-        self.detector.observe(user, key, response.status)
-        return response
-
-    def put_timed(self, user: int, key: bytes, payload: bytes,
-                  acl=None) -> Tuple[Response, float]:
-        """Forward a timed write, recording its outcome."""
-        response, elapsed = self.service.put_timed(user, key, payload, acl)
-        self.detector.observe(user, key, response.status)
-        return response, elapsed
-
-    def put_many(self, user: int, items, acl=None) -> List[Response]:
-        """Forward a batch write, one observation per record."""
-        items = list(items)
-        responses = self.service.put_many(user, items, acl)
-        for (key, _), response in zip(items, responses):
-            self.detector.observe(user, key, response.status)
-        return responses
-
-    def put_many_timed(self, user: int, items,
-                       acl=None) -> Tuple[List[Response], float]:
-        """Forward a timed batch write, one observation per record."""
-        items = list(items)
-        responses, elapsed = self.service.put_many_timed(user, items, acl)
-        for (key, _), response in zip(items, responses):
-            self.detector.observe(user, key, response.status)
-        return responses, elapsed
-
-    def delete(self, user: int, key: bytes) -> Response:
-        """Forward a delete, recording its outcome (misses included)."""
-        response = self.service.delete(user, key)
-        self.detector.observe(user, key, response.status)
-        return response
-
-    def delete_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Forward a timed delete, recording its outcome."""
-        response, elapsed = self.service.delete_timed(user, key)
-        self.detector.observe(user, key, response.status)
-        return response, elapsed
+    def observe(self, user: int, key: bytes, status: Status) -> None:
+        """Stage hook: record one request outcome."""
+        self.detector.observe(user, key, status)

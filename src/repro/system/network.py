@@ -15,10 +15,11 @@ Presets correspond to the paper's cited scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import SeededRng, make_rng
+from repro.lsm.read import ProbePlan
 from repro.system.responses import Response
 from repro.system.service import KVService
 
@@ -55,7 +56,7 @@ class RemoteClient:
     ``transport`` is anything with the :class:`KVService` read surface
     (``get`` / ``get_timed`` / ``getter`` / ``get_many`` /
     ``get_many_timed``): the in-process service itself, a rate-limited
-    facade, or the wire client :class:`~repro.server.client.RemoteKV`.
+    pipeline, or the wire client :class:`~repro.server.client.RemoteKV`.
     Injecting the transport keeps exactly one copy of the observation
     model — every transport's reported times gain RTT + jitter through
     the same :meth:`_observe` path, so the simulated-network benches and
@@ -64,6 +65,12 @@ class RemoteClient:
     Responses are unchanged; observed response times gain RTT + jitter.
     The jitter draws from this client's own seeded stream, so adding a
     remote client never perturbs the server-side simulation.
+
+    The client itself is the service surface the attack oracles consume:
+    ``db`` is the transport's in-process store (``None`` over the wire,
+    which also turns off the oracles' probe-plan fast path), so a remote
+    attacker plugs into :class:`~repro.core.oracle.TimingOracle` and
+    :func:`~repro.core.learning.learn_cutoff` unchanged.
     """
 
     def __init__(self, transport, model: NetworkModel,
@@ -72,6 +79,9 @@ class RemoteClient:
         #: Backwards-compatible alias: historically the only transport was
         #: the in-process service.
         self.service = transport
+        self.db = getattr(transport, "db", None)
+        self.distinguish_unauthorized = getattr(
+            transport, "distinguish_unauthorized", True)
         self.model = model
         self._rng = rng or make_rng(None, f"network/{model.name}")
 
@@ -84,9 +94,16 @@ class RemoteClient:
         response, server_us = self.transport.get_timed(user, key)
         return response, self._observe(server_us)
 
-    def getter(self, user: int) -> Callable[[bytes], Response]:
-        """Fast-path closure (plain requests carry no network timing)."""
-        return self.transport.getter(user)
+    def getter(self, user: int, plan: Optional[ProbePlan] = None
+               ) -> Callable[[bytes], Response]:
+        """Fast-path closure (plain requests carry no network timing).
+
+        ``plan`` — a probe plan from :attr:`db`, so only ever set over an
+        in-process transport — is forwarded to the transport's getter.
+        """
+        if plan is None:
+            return self.transport.getter(user)
+        return self.transport.getter(user, plan)
 
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
         """Batch of plain requests."""
@@ -118,45 +135,7 @@ class RemoteClient:
         return observed
 
 
-class RemoteServiceAdapter:
-    """Adapts a :class:`RemoteClient` to the ``KVService`` surface the
-    attack oracles consume (``get``/``get_timed``/``db``), so a remote
-    attacker plugs into :class:`~repro.core.oracle.TimingOracle` and
-    :func:`~repro.core.learning.learn_cutoff` unchanged.
-    """
-
-    def __init__(self, client: RemoteClient) -> None:
-        self._client = client
-        # Wire transports have no in-process db handle; the adapter then
-        # only offers the query surface (enough for the oracles).
-        self.db = getattr(client.transport, "db", None)
-        self.distinguish_unauthorized = getattr(
-            client.transport, "distinguish_unauthorized", True)
-
-    def get(self, user: int, key: bytes) -> Response:
-        """Forward a plain request."""
-        return self._client.get(user, key)
-
-    def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Forward a timed request with network-observed latency."""
-        return self._client.get_timed(user, key)
-
-    def getter(self, user: int) -> Callable[[bytes], Response]:
-        """Forward the fast-path closure (probes do not need timing)."""
-        return self._client.getter(user)
-
-    def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Forward a batch of plain requests."""
-        return self._client.get_many(user, keys)
-
-    def get_many_timed(self, user: int, keys: Sequence[bytes]
-                       ) -> List[Tuple[Response, float]]:
-        """Forward a batch of timed requests with network latency."""
-        return self._client.get_many_timed(user, keys)
-
-
 def remote_service(service: KVService, model: NetworkModel,
-                   seed: int = 0) -> RemoteServiceAdapter:
+                   seed: int = 0) -> RemoteClient:
     """Convenience constructor: service as seen from across ``model``."""
-    client = RemoteClient(service, model, make_rng(seed, f"net/{model.name}"))
-    return RemoteServiceAdapter(client)
+    return RemoteClient(service, model, make_rng(seed, f"net/{model.name}"))

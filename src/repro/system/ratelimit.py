@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
-from repro.lsm.read import ProbePlan
-from repro.system.responses import Response
-from repro.system.service import KVService
+from repro.system.service import KVService, ServiceStage
 
 
 @dataclass(frozen=True)
@@ -46,20 +44,23 @@ class _Bucket:
         self.last_us = now_us
 
 
-class RateLimitedService:
-    """A :class:`KVService` facade that stalls over-rate users.
+class RateLimitedService(ServiceStage):
+    """A pipeline stage that stalls over-rate users.
 
-    Exposes the same surface the attack oracles consume (``get``,
-    ``get_timed``, ``range_query_timed``, ``db``), so it drops into any
-    experiment as the service.  Stalls advance the simulated clock — the
-    cost the mitigation imposes is *time*, not errors.
+    ``RateLimitedService(service, policy)`` is ``service`` with a token
+    bucket per user as its outermost admission stage, so it drops into any
+    experiment as the service.  Every request pays admission before its
+    timing window — one token per key of a batch read and per record of a
+    batch write, so no batch API is a rate-limit bypass.  Stalls advance
+    the simulated clock but never show in a measured response time: the
+    client is queued before dispatch, so the side channel stays intact
+    while the attacker's throughput collapses.  The cost the mitigation
+    imposes is *time*, not errors.
     """
 
     def __init__(self, service: KVService, policy: RateLimitPolicy) -> None:
-        self.service = service
+        super().__init__(service)
         self.policy = policy
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
         self._buckets: Dict[int, _Bucket] = {}
         self._user_policies: Dict[int, RateLimitPolicy] = {}
         #: Serializes bucket mutation and the stall counters: admission is
@@ -93,7 +94,8 @@ class RateLimitedService:
         with self._lock:
             return self._user_policies.get(user, self.policy)
 
-    def _admit(self, user: int) -> None:
+    def admit(self, user: int) -> None:
+        """Stage hook: take one token, stalling the clock until one accrues."""
         clock = self.db.clock
         with self._lock:
             policy = self._user_policies.get(user, self.policy)
@@ -114,122 +116,3 @@ class RateLimitedService:
                 bucket.tokens = 1.0
                 bucket.last_us = clock.now_us
             bucket.tokens -= 1.0
-
-    # ---------------------------------------------------------------- surface
-
-    def put(self, user: int, key: bytes, payload: bytes, acl=None) -> Response:
-        """Throttled write."""
-        self._admit(user)
-        return self.service.put(user, key, payload, acl)
-
-    def put_timed(self, user: int, key: bytes, payload: bytes,
-                  acl=None) -> Tuple[Response, float]:
-        """Throttled timed write (stall excluded, as in get_timed)."""
-        self._admit(user)
-        return self.service.put_timed(user, key, payload, acl)
-
-    def put_many(self, user: int, items, acl=None) -> List[Response]:
-        """Throttled batch write.
-
-        Admission is charged once per record — group commit amortizes the
-        store's WAL traffic, not the user's request budget; the batch API
-        must not become a rate-limit bypass.
-        """
-        items = list(items)
-        for _ in items:
-            self._admit(user)
-        return self.service.put_many(user, items, acl)
-
-    def put_many_timed(self, user: int, items,
-                       acl=None) -> Tuple[List[Response], float]:
-        """Throttled timed batch write (admission per record, stalls excluded)."""
-        items = list(items)
-        for _ in items:
-            self._admit(user)
-        return self.service.put_many_timed(user, items, acl)
-
-    def delete(self, user: int, key: bytes) -> Response:
-        """Throttled delete."""
-        self._admit(user)
-        return self.service.delete(user, key)
-
-    def delete_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Throttled timed delete (stall excluded, as in get_timed)."""
-        self._admit(user)
-        return self.service.delete_timed(user, key)
-
-    def get(self, user: int, key: bytes) -> Response:
-        """Throttled point request."""
-        self._admit(user)
-        return self.service.get(user, key)
-
-    def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Throttled point request; the observed time *excludes* the stall.
-
-        The stall happens before dispatch (the client is queued), so the
-        response time the attacker measures — request sent to response
-        received — still reflects only the service's processing, keeping
-        the side channel intact while throughput collapses.
-        """
-        self._admit(user)
-        return self.service.get_timed(user, key)
-
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
-        """Fast-path closure that still pays admission per request.
-
-        Every call goes through the token bucket first — the batch API
-        must not become a rate-limit bypass.
-        """
-        admit = self._admit
-        get_one = self.service.getter(user, plan)
-
-        def get_admitted(key: bytes) -> Response:
-            admit(user)
-            return get_one(key)
-
-        return get_admitted
-
-    def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Throttled batch read (admission charged per key)."""
-        keys = list(keys)
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.getter(user, plan)
-            return [get_one(key) for key in keys]
-        finally:
-            if plan is not None:
-                plan.release()
-
-    def get_many_timed(self, user: int, keys: Sequence[bytes]
-                       ) -> List[Tuple[Response, float]]:
-        """Throttled batch ``get_timed`` (stalls excluded, as in get_timed)."""
-        keys = list(keys)
-        admit = self._admit
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.service.getter(user, plan)
-            clock = self.db.clock
-            out: List[Tuple[Response, float]] = []
-            append = out.append
-            for key in keys:
-                admit(user)
-                start = clock.now_us
-                response = get_one(key)
-                append((response, clock.now_us - start))
-            return out
-        finally:
-            if plan is not None:
-                plan.release()
-
-    def range_query(self, user: int, low: bytes, high: bytes,
-                    limit: Optional[int] = None):
-        """Throttled range request."""
-        self._admit(user)
-        return self.service.range_query(user, low, high, limit=limit)
-
-    def range_query_timed(self, user: int, low: bytes, high: bytes,
-                          limit: Optional[int] = None):
-        """Throttled timed range request (stall excluded, as in get_timed)."""
-        self._admit(user)
-        return self.service.range_query_timed(user, low, high, limit=limit)

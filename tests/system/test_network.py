@@ -71,6 +71,26 @@ class TestAdapter:
         assert elapsed >= LAN.rtt_us
         assert adapted.get(ATTACKER_USER, b"\x04" * 5).status == response.status
 
+    def test_prober_for_batch_matches_in_process(self, surf_env):
+        # Suffix extension primes a probe plan and asks the service for a
+        # plan-replaying getter; through the network model that must give
+        # exactly the statuses the in-process service does.
+        from repro.core import IdealizedOracle
+        from repro.common.rng import make_rng
+        rng = make_rng(8, "remote-prober")
+        keys = surf_env.keys[:40] + [rng.random_bytes(5) for _ in range(200)]
+        oracle = IdealizedOracle(remote_service(surf_env.service, LAN,
+                                                seed=3), ATTACKER_USER)
+        probe = oracle.prober_for(keys)
+        try:
+            remote = [probe(key) for key in keys]
+        finally:
+            oracle.release_plan()
+        local = [surf_env.service.get(ATTACKER_USER, key).status
+                 for key in keys]
+        assert remote == local
+        assert oracle.counter.total == len(keys)
+
     def test_timing_attack_survives_lan_noise(self, surf_env):
         # The paper's remote-attacker assumption: with LAN-grade jitter the
         # learning phase + 4-query averaging still separates the modes.
